@@ -126,8 +126,8 @@ fn bench_matcher(c: &mut Criterion) {
             black_box(total)
         });
     });
-    // the pre-facade repeat path: what the deprecated `count_matches` shim
-    // does per call — construct a matcher, compile, plan, search, discard
+    // the pre-facade repeat path: construct a matcher, compile, plan,
+    // search and discard on every call
     group.bench_function("compile-repeat/LDBC QUERY 1", |b| {
         b.iter(|| {
             let mut total = 0u64;
@@ -156,11 +156,16 @@ fn bench_matcher(c: &mut Criterion) {
     // so `find-par`/`count-par` divide cleanly against them; the larger
     // graph gives every work unit enough search to amortize worker
     // startup (on the 300-person default the whole count is ~70µs —
-    // thread scheduling noise, not a measurement).
-    let xl = Database::open(ldbc_graph(LdbcConfig {
-        persons: 2000,
-        seed: 42,
-    }))
+    // thread scheduling noise, not a measurement). Serial and parallel
+    // calls share the sibling result cache, so the database runs with it
+    // off: all four entries time execution, never a replay.
+    let xl = Database::open_with(
+        ldbc_graph(LdbcConfig {
+            persons: 2000,
+            seed: 42,
+        }),
+        DatabaseConfig::default().sibling_cache_capacity(0),
+    )
     .expect("open");
     let xl_session = xl.session();
     let q3 = &queries[2];

@@ -33,9 +33,6 @@
 //! `whyq_session::Database`, take a `Session` and use
 //! `session.prepare(&q)?` — prepared queries add plan caching, configured
 //! indexes and a `Result`-based error surface on top of the same engine.
-//! The free functions [`find_matches`] / [`count_matches`] and
-//! [`Matcher::with_index`] remain as deprecated shims for incremental
-//! migration.
 //!
 //! Result enumeration comes in two shapes: eager ([`Matcher::find`],
 //! returning a `Vec`) and lazy ([`Matcher::stream`], a suspendable DFS
@@ -85,8 +82,6 @@ pub mod work;
 pub use budget::{Budget, CancelToken, Termination};
 pub use combine::{combine_components, FactorOdometer};
 pub use derive::derive_sibling;
-#[allow(deprecated)] // compatibility re-exports of the deprecated shims
-pub use engine::{count_matches, find_matches};
 pub use engine::{CompiledQuery, MatchOptions, Matcher};
 pub use index::AttrIndex;
 pub use optimize::{optimize, PassSet};

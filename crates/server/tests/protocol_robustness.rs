@@ -65,8 +65,22 @@ fn read_raw_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
     Some(payload)
 }
 
+/// Keep this test out of the fault-injected ones' way: fault plans are
+/// process-wide, so a test running while another has a worker panic or a
+/// seed delay armed would observe it (and could consume the delay meant
+/// for the other test). Holding the fault test lock with nothing armed
+/// serializes the two kinds. Without the feature there are no plans.
+#[cfg(feature = "fault-inject")]
+fn no_faults() -> whyq_matcher::fault::FaultGuard {
+    whyq_matcher::fault::arm(whyq_matcher::fault::FaultPlan::default())
+}
+
+#[cfg(not(feature = "fault-inject"))]
+fn no_faults() -> impl Sized {}
+
 #[test]
 fn garbage_payloads_get_typed_errors_and_the_connection_survives() {
+    let _no_faults = no_faults();
     let (server, _db) = start(ServerConfig::default());
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     // invalid UTF-8, control noise, an unknown verb, an empty frame
@@ -91,6 +105,7 @@ fn garbage_payloads_get_typed_errors_and_the_connection_survives() {
 
 #[test]
 fn oversized_length_prefix_errors_then_closes_without_touching_others() {
+    let _no_faults = no_faults();
     let (server, _db) = start(ServerConfig::default());
     let mut victim = TcpStream::connect(server.local_addr()).unwrap();
     let mut bystander = Client::connect(server.local_addr()).unwrap();
@@ -119,6 +134,7 @@ fn oversized_length_prefix_errors_then_closes_without_touching_others() {
 
 #[test]
 fn truncated_frame_then_disconnect_leaks_nothing() {
+    let _no_faults = no_faults();
     let (server, _db) = start(ServerConfig::default());
     {
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -142,6 +158,7 @@ fn truncated_frame_then_disconnect_leaks_nothing() {
 
 #[test]
 fn interleaved_frames_across_connections_answer_in_per_connection_order() {
+    let _no_faults = no_faults();
     let (server, _db) = start(ServerConfig::default());
     let mut a = Client::connect(server.local_addr()).unwrap();
     let mut b = Client::connect(server.local_addr()).unwrap();
@@ -178,6 +195,7 @@ fn interleaved_frames_across_connections_answer_in_per_connection_order() {
 /// session a fresh client must find the database fully serviceable.
 #[test]
 fn fuzzed_frames_never_panic_or_hang_the_server() {
+    let _no_faults = no_faults();
     let (server, _db) = start(ServerConfig::default());
     let mut rng = StdRng::seed_from_u64(0x5eed_f00d);
     for round in 0..40 {
@@ -243,8 +261,9 @@ mod fault {
                 }
                 other => panic!("expected ERR internal, got {other:?}"),
             }
-        } // disarmed
-          // same connection, same database: still serving
+        }
+        // disarmed: same connection, same database, still serving
+        let _no_faults = no_faults();
         assert_eq!(client.query(KNOWS, None).unwrap().rows.len(), 1);
         assert_eq!(db.compile_count(), 1);
         let stats = server.stats();

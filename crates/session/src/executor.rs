@@ -16,7 +16,7 @@
 //! after open, and the only mutable shared state — the plan cache — is
 //! behind a `Mutex` whose per-signature slots compile at most once (see
 //! [`crate::cache::PlanCache`]). All mutable *search* state lives in
-//! per-worker [`Session`]s: every worker thread creates its own session
+//! per-worker [`Session`](crate::Session)s: every worker thread creates its own session
 //! (and with it its own matcher scratch arena), so workers never contend
 //! on anything but the plan-cache lock, which is held only for probes and
 //! inserts, never across a compile or a search.
@@ -29,7 +29,7 @@
 //! on the method); counts and result multisets always equal their serial
 //! counterparts.
 
-use crate::{Database, Governed, Session, WhyqError};
+use crate::{Database, Governed, WhyqError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -323,7 +323,7 @@ impl Executor {
     }
 
     /// Run `task(state, i)` for `i in 0..n` across the pool, where each
-    /// worker initializes its own `state` once (e.g. a [`Session`]) and
+    /// worker initializes its own `state` once (e.g. a [`Session`](crate::Session)) and
     /// reuses it for every task it pulls. Results come back in task order.
     ///
     /// Robustness contract: every task (and every worker's `init`) runs
@@ -425,23 +425,6 @@ impl Executor {
             })
             .collect()
     }
-}
-
-/// A worker-session batch runner used by `find_par`/`count_par`: runs
-/// `task(&session, i)` for `i in 0..n` with one [`Session`] per worker.
-/// Fails with the executor's first error — a worker panic or a cancel —
-/// with the database left fully usable.
-pub(crate) fn run_with_sessions<'db, T, Task>(
-    exec: &Executor,
-    db: &'db Database,
-    n: usize,
-    task: Task,
-) -> Result<Vec<T>, WhyqError>
-where
-    T: Send + Sync,
-    Task: Fn(&Session<'db>, usize) -> T + Sync,
-{
-    exec.dispatch(n, || db.session(), |session, i| task(session, i))
 }
 
 #[cfg(test)]

@@ -82,13 +82,14 @@ use sibling::SiblingCache;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use whyq_graph::PropertyGraph;
+use whyq_matcher::vm::Program;
 use whyq_matcher::{
     combine_components, split_ranges, AttrIndex, MatchOptions, MatchStream, Matcher, ResultGraph,
     SeedList, WorkUnit,
 };
 pub use whyq_matcher::{Budget, CancelToken, Termination};
 use whyq_query::{
-    analyze_against, component_signature, shape_hash, DeltaKind, PatternQuery, QueryDelta,
+    analyze_against, component_signature, shape_hash, DeltaKind, PatternQuery, QVid, QueryDelta,
 };
 pub use whyq_query::{AnalysisReport, Diagnostic, DiagnosticCode, Severity};
 
@@ -723,11 +724,7 @@ impl<'db> PreparedQuery<'_, 'db> {
     /// never be mistaken for a complete one. Use
     /// [`PreparedQuery::find_governed`] to keep the partial results.
     pub fn find_opts(&self, opts: MatchOptions) -> Result<Vec<ResultGraph>, WhyqError> {
-        let governed = self.find_governed(opts);
-        match governed.termination {
-            Termination::Complete => Ok(governed.value),
-            termination => Err(WhyqError::Interrupted { termination }),
-        }
+        exact(self.find_governed(opts))
     }
 
     /// Enumerate result graphs under `opts`, keeping whatever an
@@ -737,20 +734,7 @@ impl<'db> PreparedQuery<'_, 'db> {
     /// components of a disconnected query it is a subset of the cartesian
     /// product) — the best-effort shape a serving layer degrades to.
     pub fn find_governed(&self, opts: MatchOptions) -> Governed<Vec<ResultGraph>> {
-        if let Some(governed) = self.find_incremental(&opts) {
-            return governed;
-        }
-        let budget = opts.budget.clone();
-        let value = self.session.matcher.find_compiled(
-            &self.query,
-            &self.plan.compiled,
-            &self.plan.program,
-            opts,
-        );
-        Governed {
-            value,
-            termination: budget.termination(),
-        }
+        self.serial(&opts)
     }
 
     /// Count result graphs (injective, exact).
@@ -763,11 +747,7 @@ impl<'db> PreparedQuery<'_, 'db> {
     /// tripped budget is [`WhyqError::Interrupted`], never a silently
     /// low count.
     pub fn count_opts(&self, opts: MatchOptions) -> Result<u64, WhyqError> {
-        let governed = self.count_governed(opts);
-        match governed.termination {
-            Termination::Complete => Ok(governed.value),
-            termination => Err(WhyqError::Interrupted { termination }),
-        }
+        exact(self.count_governed(opts))
     }
 
     /// Count result graphs under `opts`, keeping the partial count of an
@@ -802,204 +782,7 @@ impl<'db> PreparedQuery<'_, 'db> {
     /// # Ok::<(), whyq_session::WhyqError>(())
     /// ```
     pub fn count_governed(&self, opts: MatchOptions) -> Governed<u64> {
-        if let Some(governed) = self.count_incremental(&opts) {
-            return governed;
-        }
-        let budget = opts.budget.clone();
-        let value = self.session.matcher.count_compiled(
-            &self.query,
-            &self.plan.compiled,
-            &self.plan.program,
-            opts,
-        );
-        Governed {
-            value,
-            termination: budget.termination(),
-        }
-    }
-
-    /// The per-component seed lists and raw component vertex sets, when
-    /// the incremental (sibling-cache) path applies to this query:
-    /// sibling layer enabled, satisfiable program, and a component list
-    /// aligned with the program (one program per weakly-connected
-    /// component, in the same order — guaranteed by the planner, checked
-    /// defensively here).
-    fn incremental_parts(&self) -> Option<(Vec<Vec<whyq_query::QVid>>, &[SeedList])> {
-        let db = self.session.db;
-        if !db.sibling_cache_enabled() {
-            return None;
-        }
-        let program = &self.plan.program;
-        if self.query.num_vertices() == 0 || program.is_empty() {
-            return None;
-        }
-        let comps = self.query.weakly_connected_components();
-        if comps.len() != program.components().len() {
-            return None;
-        }
-        let seed_lists: &[SeedList] = self.plan.seed_lists.get_or_init(|| {
-            let matcher = &self.session.matcher;
-            program
-                .components()
-                .iter()
-                .map(|prog| matcher.seed_list_for(prog))
-                .collect()
-        });
-        Some((comps, seed_lists))
-    }
-
-    /// Incremental counting: replay memoized per-component counts from
-    /// the database's sibling cache and execute only the components the
-    /// sibling's delta invalidated, as whole-component [`WorkUnit`]s.
-    /// Mirrors [`whyq_matcher::Matcher::count_compiled`] exactly —
-    /// program-order evaluation, per-component cap at `opts.limit`,
-    /// early zero on an empty component, saturating product capped at the
-    /// limit — so the value is bit-identical to a full execution.
-    /// Only budget-complete unit results are inserted; replayed units
-    /// consume no budget (the governed value stays a valid lower bound).
-    /// Returns `None` when the sibling layer is disabled and the caller
-    /// should run the plain path.
-    fn count_incremental(&self, opts: &MatchOptions) -> Option<Governed<u64>> {
-        let (comps, seed_lists) = self.incremental_parts()?;
-        let db = self.session.db;
-        let budget = &opts.budget;
-        // mirror the engine: an already-tripped budget refuses up front
-        if budget.poll().is_err() {
-            return Some(Governed {
-                value: 0,
-                termination: budget.termination(),
-            });
-        }
-        let limit = opts.limit.map(|l| l as u64);
-        let mut replayed = 0u64;
-        let mut recomputed = 0u64;
-        let mut counts: Vec<u64> = Vec::with_capacity(comps.len());
-        let mut zero = false;
-        for (i, comp) in comps.iter().enumerate() {
-            let sig = component_signature(&self.query, comp);
-            let cached = db
-                .lock_siblings()
-                .lookup_count(&sig, opts.injective, opts.limit);
-            let c = match cached {
-                Some(c) => {
-                    replayed += 1;
-                    c
-                }
-                None => {
-                    recomputed += 1;
-                    let unit = WorkUnit::whole(i, &seed_lists[i]);
-                    let c = self.session.matcher.count_unit(
-                        &self.query,
-                        &self.plan.compiled,
-                        &self.plan.program,
-                        &unit,
-                        &seed_lists[i],
-                        opts.clone(),
-                    );
-                    // a tripped budget means `c` is a partial prefix —
-                    // caching it would replay a truncated answer as exact
-                    if budget.termination().is_complete() {
-                        db.lock_siblings()
-                            .insert_count(sig, opts.injective, opts.limit, c);
-                    }
-                    c
-                }
-            };
-            if c == 0 {
-                // a matchless component zeroes the product; later
-                // components never run (same as the serial engine)
-                zero = true;
-                break;
-            }
-            counts.push(c);
-        }
-        db.lock_siblings().finish_query(replayed, recomputed);
-        let value = if zero {
-            0
-        } else {
-            let total = counts.into_iter().fold(1u64, u64::saturating_mul);
-            match limit {
-                Some(l) => total.min(l),
-                None => total,
-            }
-        };
-        Some(Governed {
-            value,
-            termination: budget.termination(),
-        })
-    }
-
-    /// Incremental enumeration — the row twin of
-    /// [`PreparedQuery::count_incremental`]: memoized component rows are
-    /// replayed only when the executing program's fingerprint matches the
-    /// one that produced them (derived sibling programs may enumerate in
-    /// a different order than a fresh compile), then merged through the
-    /// same cartesian combiner as a full execution.
-    fn find_incremental(&self, opts: &MatchOptions) -> Option<Governed<Vec<ResultGraph>>> {
-        let (comps, seed_lists) = self.incremental_parts()?;
-        let db = self.session.db;
-        let budget = &opts.budget;
-        if budget.poll().is_err() {
-            return Some(Governed {
-                value: Vec::new(),
-                termination: budget.termination(),
-            });
-        }
-        let cap = opts.limit.unwrap_or(usize::MAX);
-        let mut replayed = 0u64;
-        let mut recomputed = 0u64;
-        let mut per_component: Vec<Vec<ResultGraph>> = Vec::with_capacity(comps.len());
-        let mut empty = false;
-        for (i, comp) in comps.iter().enumerate() {
-            let sig = component_signature(&self.query, comp);
-            let fingerprint = self.plan.program.components()[i].fingerprint();
-            let cached =
-                db.lock_siblings()
-                    .lookup_rows(&sig, opts.injective, opts.limit, fingerprint);
-            let rows = match cached {
-                Some(rows) => {
-                    replayed += 1;
-                    (*rows).clone()
-                }
-                None => {
-                    recomputed += 1;
-                    let unit = WorkUnit::whole(i, &seed_lists[i]);
-                    let rows = self.session.matcher.find_unit(
-                        &self.query,
-                        &self.plan.compiled,
-                        &self.plan.program,
-                        &unit,
-                        &seed_lists[i],
-                        opts.clone(),
-                    );
-                    if budget.termination().is_complete() {
-                        db.lock_siblings().insert_rows(
-                            sig,
-                            opts.injective,
-                            opts.limit,
-                            fingerprint,
-                            Arc::new(rows.clone()),
-                        );
-                    }
-                    rows
-                }
-            };
-            if rows.is_empty() {
-                empty = true;
-                break;
-            }
-            per_component.push(rows);
-        }
-        db.lock_siblings().finish_query(replayed, recomputed);
-        let value = if empty {
-            Vec::new()
-        } else {
-            combine_components(per_component, cap)
-        };
-        Some(Governed {
-            value,
-            termination: budget.termination(),
-        })
+        self.serial(&opts)
     }
 
     /// Enumerate all result graphs (injective) across the threads of the
@@ -1008,71 +791,26 @@ impl<'db> PreparedQuery<'_, 'db> {
         self.find_par_opts(MatchOptions::default(), &ParallelOpts::default())
     }
 
-    /// Enumerate result graphs under `opts` in parallel: each weakly
-    /// connected component's seed set is sharded into [`WorkUnit`]s
-    /// (subranges of at least `par.min_seeds_per_split` seeds), executed
-    /// across up to `par.threads` workers — each owning its own session
-    /// arena — and merged through the matcher's cartesian combiner.
+    /// Enumerate result graphs under `opts`, sharding execution across up
+    /// to `par.threads` workers. This runs the same per-component loop as
+    /// [`PreparedQuery::find_governed`]: a component the sibling cache
+    /// holds is replayed, and a component that must execute has its seed
+    /// list split into [`WorkUnit`]s of at least `par.min_seeds_per_split`
+    /// seeds, run by [`Executor`] workers that each own a session arena.
+    /// A component too small to split, or a 1-thread `par`, runs as one
+    /// unit on this session with no thread spawned.
     ///
-    /// Returns exactly the multiset [`PreparedQuery::find_opts`] returns.
-    /// **Result order is unspecified in parallel mode** (the current
-    /// implementation happens to preserve serial order, but only the
-    /// multiset is contractual); under a `limit`, *which* results survive
-    /// the cap is likewise unspecified. Queries too small to shard — or a
-    /// 1-thread configuration — fall back to the serial path unchanged.
+    /// Returns exactly the multiset [`PreparedQuery::find_opts`] returns,
+    /// and shares its exact-answer contract: a tripped budget is
+    /// [`WhyqError::Interrupted`], a panicking worker
+    /// [`WhyqError::WorkerPanicked`]. Only the multiset is contractual —
+    /// under a `limit`, *which* results survive the cap is unspecified.
     pub fn find_par_opts(
         &self,
         opts: MatchOptions,
         par: &ParallelOpts,
     ) -> Result<Vec<ResultGraph>, WhyqError> {
-        let Some((units, seed_lists)) = self.shard(par) else {
-            return self.find_opts(opts);
-        };
-        // workers poll the budget's cancel state between units (and the
-        // DFS inside each unit observes it at block granularity)
-        let exec = Executor::new(par.clone());
-        let query = &*self.query;
-        let compiled = &*self.plan.compiled;
-        let program = &*self.plan.program;
-        let outputs = executor::run_with_sessions(&exec, self.session.db, units.len(), {
-            let units = &units;
-            let seed_lists = &seed_lists;
-            let opts = opts.clone();
-            move |session, i| {
-                let unit = &units[i];
-                session.matcher.find_unit(
-                    query,
-                    compiled,
-                    program,
-                    unit,
-                    &seed_lists[unit.component],
-                    opts.clone(),
-                )
-            }
-        })?;
-        match opts.budget.termination() {
-            Termination::Complete => {}
-            termination => return Err(WhyqError::Interrupted { termination }),
-        }
-        let mut per_comp: Vec<Vec<ResultGraph>> = vec![Vec::new(); program.components().len()];
-        for (unit, out) in units.iter().zip(outputs) {
-            per_comp[unit.component].extend(out);
-        }
-        if per_comp.iter().any(Vec::is_empty) {
-            // a component with no partial bindings zeroes the product
-            return Ok(Vec::new());
-        }
-        if let Some(l) = opts.limit {
-            // mirror the serial engine: each component's list is capped
-            // before combination
-            for comp in &mut per_comp {
-                comp.truncate(l);
-            }
-        }
-        Ok(combine_components(
-            per_comp,
-            opts.limit.unwrap_or(usize::MAX),
-        ))
+        exact(self.execute(&opts, par)?)
     }
 
     /// Count result graphs (injective, exact) in parallel — see
@@ -1081,79 +819,156 @@ impl<'db> PreparedQuery<'_, 'db> {
         self.count_par_opts(MatchOptions::default(), &ParallelOpts::default())
     }
 
-    /// Count result graphs under `opts` in parallel: per-component seed
-    /// shards are counted across workers, summed per component and
-    /// multiplied — always equal to [`PreparedQuery::count_opts`],
+    /// Count result graphs under `opts` with the components' seed shards
+    /// counted across workers — the counting twin of
+    /// [`PreparedQuery::find_par_opts`], with the same loop, cache use and
+    /// error contract. Always equal to [`PreparedQuery::count_opts`],
     /// including under an `opts.limit` cap (both report
-    /// `min(C(Q), limit)`). Falls back to the serial path when the query
-    /// is too small to shard or `par.threads <= 1`.
+    /// `min(C(Q), limit)`).
     pub fn count_par_opts(&self, opts: MatchOptions, par: &ParallelOpts) -> Result<u64, WhyqError> {
-        let Some((units, seed_lists)) = self.shard(par) else {
-            return self.count_opts(opts);
-        };
-        let exec = Executor::new(par.clone());
-        let query = &*self.query;
-        let compiled = &*self.plan.compiled;
-        let program = &*self.plan.program;
-        let counts = executor::run_with_sessions(&exec, self.session.db, units.len(), {
-            let units = &units;
-            let seed_lists = &seed_lists;
-            let opts = opts.clone();
-            move |session, i| {
-                let unit = &units[i];
-                session.matcher.count_unit(
-                    query,
-                    compiled,
-                    program,
-                    unit,
-                    &seed_lists[unit.component],
-                    opts.clone(),
-                )
-            }
-        })?;
-        match opts.budget.termination() {
-            Termination::Complete => {}
-            termination => return Err(WhyqError::Interrupted { termination }),
-        }
-        let mut per_comp = vec![0u64; program.components().len()];
-        for (unit, c) in units.iter().zip(counts) {
-            per_comp[unit.component] = per_comp[unit.component].saturating_add(c);
-        }
-        let limit = opts.limit.map(|l| l as u64);
-        let mut total: u64 = 1;
-        for c in per_comp {
-            if c == 0 {
-                return Ok(0);
-            }
-            // per-unit counts stop early at the limit, so a component sum
-            // may undershoot its true count but never min(true, limit) —
-            // capping here keeps the product identical to the serial one
-            let c = match limit {
-                Some(l) => c.min(l),
-                None => c,
-            };
-            total = total.saturating_mul(c);
-        }
-        Ok(match limit {
-            Some(l) => total.min(l),
-            None => total,
-        })
+        exact(self.execute(&opts, par)?)
     }
 
-    /// Decompose the query into parallel work units, or `None` when serial
-    /// execution is the right call: a 1-thread configuration, an
-    /// empty/unsatisfiable query, or a single component too small to shard
-    /// (below `min_seeds_per_split`) — the threshold below which thread
-    /// startup would outweigh the search.
-    fn shard(&self, par: &ParallelOpts) -> Option<(Vec<WorkUnit>, &[SeedList])> {
-        let threads = par.effective_threads();
-        if threads <= 1 || self.query.num_vertices() == 0 || self.plan.program.is_empty() {
+    /// [`PreparedQuery::execute`] on this session alone, which has no
+    /// worker whose panic could surface as an error.
+    fn serial<O: Output>(&self, opts: &MatchOptions) -> Governed<O> {
+        self.execute(opts, &ParallelOpts::serial())
+            .expect("serial execution dispatches no worker")
+    }
+
+    /// The one execution loop behind every count and find. For each
+    /// component in program order it replays the component's memoized
+    /// result from the sibling cache, or else runs the component's
+    /// [`WorkUnit`]s — sharded across `par` workers when it allows — and
+    /// memoizes their merge if the budget is still complete. The first
+    /// empty component zeroes the answer and stops the loop; otherwise
+    /// the components combine, capped at `opts.limit`. Units merged in
+    /// range order equal the serial enumeration (and so does its prefix
+    /// at the limit), so serial and parallel runs share cache entries.
+    /// Replays consume no budget: the governed value stays a valid lower
+    /// bound.
+    fn execute<O: Output>(
+        &self,
+        opts: &MatchOptions,
+        par: &ParallelOpts,
+    ) -> Result<Governed<O>, WhyqError> {
+        let budget = &opts.budget;
+        let governed = |value| Governed {
+            value,
+            termination: budget.termination(),
+        };
+        let program = &self.plan.program;
+        // an empty or unsatisfiable query matches nothing, and an
+        // already-tripped budget refuses up front, before any replay
+        if self.query.num_vertices() == 0 || program.is_empty() || budget.poll().is_err() {
+            return Ok(governed(O::default()));
+        }
+        let db = self.session.db;
+        let comps = self.cached_components();
+        let mut parts = Vec::with_capacity(program.components().len());
+        let (mut replayed, mut recomputed) = (0u64, 0u64);
+        for (i, seeds) in self.seed_lists().iter().enumerate() {
+            let key = comps.as_ref().map(|comps| {
+                let sig = component_signature(&self.query, &comps[i]);
+                (sig, O::tag(&program.components()[i]))
+            });
+            let cached = key
+                .as_ref()
+                .and_then(|(sig, tag)| O::lookup(&mut db.lock_siblings(), sig, opts, *tag));
+            let part = if let Some(part) = cached {
+                replayed += 1;
+                part
+            } else {
+                recomputed += 1;
+                let part = self.run_component::<O>(i, seeds, opts, par)?;
+                // a tripped budget means `part` is a partial prefix —
+                // caching it would replay a truncated answer as exact
+                if let Some((sig, tag)) = key.filter(|_| budget.termination().is_complete()) {
+                    O::insert(&mut db.lock_siblings(), sig, opts, tag, &part);
+                }
+                part
+            };
+            if part.is_empty() {
+                parts.clear();
+                break;
+            }
+            parts.push(part);
+        }
+        if comps.is_some() {
+            db.lock_siblings().finish_query(replayed, recomputed);
+        }
+        let value = if parts.is_empty() {
+            O::default()
+        } else {
+            O::combine(parts, opts.limit)
+        };
+        Ok(governed(value))
+    }
+
+    /// Run component `i` as [`WorkUnit`]s over `seeds`: one whole unit on
+    /// this session, or — when `par` has threads to spare and the seed
+    /// list holds at least two split floors — range shards on
+    /// [`Executor`] workers, merged in range order.
+    fn run_component<O: Output>(
+        &self,
+        i: usize,
+        seeds: &SeedList,
+        opts: &MatchOptions,
+        par: &ParallelOpts,
+    ) -> Result<O, WhyqError> {
+        let (query, plan) = (&*self.query, &*self.plan);
+        let floor = par.min_seeds_per_split.max(1);
+        if par.effective_threads() <= 1 || seeds.len() < floor.saturating_mul(2) {
+            let unit = WorkUnit::whole(i, seeds);
+            return Ok(O::run(
+                &self.session.matcher,
+                query,
+                plan,
+                &unit,
+                seeds,
+                opts,
+            ));
+        }
+        // oversubscribe so an unlucky chunk doesn't idle the pool; each
+        // chunk still holds at least `floor` seeds
+        let chunks = (seeds.len() / floor).min(par.effective_threads().saturating_mul(4));
+        let units: Vec<WorkUnit> = split_ranges(seeds.len(), chunks)
+            .into_iter()
+            .map(|range| WorkUnit {
+                component: i,
+                range,
+            })
+            .collect();
+        // each unit polls the shared budget before it starts, and the VM
+        // inside it observes a trip at block granularity
+        let db = self.session.db;
+        let outputs = Executor::new(par.clone()).dispatch(
+            units.len(),
+            || db.session(),
+            |session, u| O::run(&session.matcher, query, plan, &units[u], seeds, opts),
+        )?;
+        Ok(O::merge(outputs, opts.limit))
+    }
+
+    /// The query's weakly connected components, whose signatures key the
+    /// sibling cache — or `None` when the sibling layer is off or the
+    /// component list does not align with the program (one program per
+    /// component, in the same order: guaranteed by the planner, checked
+    /// defensively here).
+    fn cached_components(&self) -> Option<Vec<Vec<QVid>>> {
+        if !self.session.db.sibling_cache_enabled() {
             return None;
         }
-        // materialized once per cached plan (graph and indexes are sealed
-        // for the database's lifetime) and shared across sessions, so
-        // repeat parallel executions pay no bucket copies or union sorts
-        let seed_lists: &[SeedList] = self.plan.seed_lists.get_or_init(|| {
+        let comps = self.query.weakly_connected_components();
+        (comps.len() == self.plan.program.components().len()).then_some(comps)
+    }
+
+    /// The per-component seed lists, materialized once per cached plan
+    /// (graph and indexes are sealed for the database's lifetime) and
+    /// shared across sessions, so repeat executions pay no bucket copies
+    /// or union sorts.
+    fn seed_lists(&self) -> &[SeedList] {
+        self.plan.seed_lists.get_or_init(|| {
             let matcher = &self.session.matcher;
             self.plan
                 .program
@@ -1161,27 +976,7 @@ impl<'db> PreparedQuery<'_, 'db> {
                 .iter()
                 .map(|prog| matcher.seed_list_for(prog))
                 .collect()
-        });
-        let floor = par.min_seeds_per_split.max(1);
-        let mut units = Vec::new();
-        for (component, seeds) in seed_lists.iter().enumerate() {
-            if seeds.len() >= floor.saturating_mul(2) {
-                // oversubscribe so an unlucky chunk doesn't idle the pool;
-                // each chunk still holds at least `floor` seeds
-                let chunks = (seeds.len() / floor).min(threads.saturating_mul(4)).max(1);
-                units.extend(
-                    split_ranges(seeds.len(), chunks)
-                        .into_iter()
-                        .map(|range| WorkUnit { component, range }),
-                );
-            } else {
-                units.push(WorkUnit::whole(component, seeds));
-            }
-        }
-        if units.len() <= 1 {
-            return None;
-        }
-        Some((units, seed_lists))
+        })
     }
 
     /// Stream result graphs lazily (injective, unlimited): the backtracking
@@ -1228,6 +1023,184 @@ impl<'db> PreparedQuery<'_, 'db> {
             Arc::clone(&self.plan.program),
             opts,
         )
+    }
+}
+
+/// The exact-answer view of a governed result: a budget trip becomes
+/// [`WhyqError::Interrupted`] instead of a silently partial value.
+fn exact<T>(governed: Governed<T>) -> Result<T, WhyqError> {
+    match governed.termination {
+        Termination::Complete => Ok(governed.value),
+        termination => Err(WhyqError::Interrupted { termination }),
+    }
+}
+
+/// What one component contributes to an answer of
+/// [`PreparedQuery::execute`]: a count or materialized rows. `Default`
+/// is the empty answer.
+trait Output: Default + Send + Sync {
+    /// Execute one work unit on `matcher`'s scratch arena.
+    fn run(
+        matcher: &Matcher<'_>,
+        query: &PatternQuery,
+        plan: &CachedPlan,
+        unit: &WorkUnit,
+        seeds: &SeedList,
+        opts: &MatchOptions,
+    ) -> Self;
+    /// What besides the component signature keys a memoized result.
+    type Tag: Copy;
+    /// The tag of results produced by the component program `prog`.
+    fn tag(prog: &Program) -> Self::Tag;
+    /// Replay a memoized component result.
+    fn lookup(
+        cache: &mut SiblingCache,
+        sig: &str,
+        opts: &MatchOptions,
+        tag: Self::Tag,
+    ) -> Option<Self>;
+    /// Memoize a complete component result.
+    fn insert(
+        cache: &mut SiblingCache,
+        sig: String,
+        opts: &MatchOptions,
+        tag: Self::Tag,
+        part: &Self,
+    );
+    /// Merge one component's unit outputs, given in range order, capped
+    /// at `limit`.
+    fn merge(units: Vec<Self>, limit: Option<usize>) -> Self;
+    /// True when the component matched nothing.
+    fn is_empty(&self) -> bool;
+    /// Combine non-empty component results, capped at `limit`.
+    fn combine(parts: Vec<Self>, limit: Option<usize>) -> Self;
+}
+
+/// `count` capped at an optional limit.
+fn cap(count: u64, limit: Option<usize>) -> u64 {
+    limit.map_or(count, |l| count.min(l as u64))
+}
+
+impl Output for u64 {
+    fn run(
+        matcher: &Matcher<'_>,
+        query: &PatternQuery,
+        plan: &CachedPlan,
+        unit: &WorkUnit,
+        seeds: &SeedList,
+        opts: &MatchOptions,
+    ) -> u64 {
+        matcher.count_unit(
+            query,
+            &plan.compiled,
+            &plan.program,
+            unit,
+            seeds,
+            opts.clone(),
+        )
+    }
+
+    /// Counts are order-independent: any program's count replays.
+    type Tag = ();
+
+    fn tag(_: &Program) {}
+
+    fn lookup(cache: &mut SiblingCache, sig: &str, opts: &MatchOptions, (): ()) -> Option<u64> {
+        cache.lookup_count(sig, opts.injective, opts.limit)
+    }
+
+    fn insert(cache: &mut SiblingCache, sig: String, opts: &MatchOptions, (): (), part: &u64) {
+        cache.insert_count(sig, opts.injective, opts.limit, *part);
+    }
+
+    fn merge(units: Vec<u64>, limit: Option<usize>) -> u64 {
+        // each unit stops early at the limit, so the sum may undershoot
+        // the true count but never min(true, limit)
+        cap(units.into_iter().fold(0, u64::saturating_add), limit)
+    }
+
+    fn is_empty(&self) -> bool {
+        *self == 0
+    }
+
+    fn combine(parts: Vec<u64>, limit: Option<usize>) -> u64 {
+        cap(parts.into_iter().fold(1, u64::saturating_mul), limit)
+    }
+}
+
+impl Output for Vec<ResultGraph> {
+    fn run(
+        matcher: &Matcher<'_>,
+        query: &PatternQuery,
+        plan: &CachedPlan,
+        unit: &WorkUnit,
+        seeds: &SeedList,
+        opts: &MatchOptions,
+    ) -> Self {
+        matcher.find_unit(
+            query,
+            &plan.compiled,
+            &plan.program,
+            unit,
+            seeds,
+            opts.clone(),
+        )
+    }
+
+    /// Rows replay only when the executing program's fingerprint matches
+    /// the one that produced them: a derived sibling program may
+    /// enumerate in a different order than a fresh compile.
+    type Tag = u64;
+
+    fn tag(prog: &Program) -> u64 {
+        prog.fingerprint()
+    }
+
+    fn lookup(
+        cache: &mut SiblingCache,
+        sig: &str,
+        opts: &MatchOptions,
+        fingerprint: u64,
+    ) -> Option<Self> {
+        cache
+            .lookup_rows(sig, opts.injective, opts.limit, fingerprint)
+            .map(|rows| (*rows).clone())
+    }
+
+    fn insert(
+        cache: &mut SiblingCache,
+        sig: String,
+        opts: &MatchOptions,
+        fingerprint: u64,
+        part: &Self,
+    ) {
+        cache.insert_rows(
+            sig,
+            opts.injective,
+            opts.limit,
+            fingerprint,
+            Arc::new(part.clone()),
+        );
+    }
+
+    fn merge(units: Vec<Self>, limit: Option<usize>) -> Self {
+        let mut rows = units
+            .into_iter()
+            .reduce(|mut rows, unit| {
+                rows.extend(unit);
+                rows
+            })
+            .unwrap_or_default();
+        rows.truncate(limit.unwrap_or(usize::MAX));
+        rows
+    }
+
+    fn is_empty(&self) -> bool {
+        Vec::is_empty(self)
+    }
+
+    fn combine(parts: Vec<Self>, limit: Option<usize>) -> Self {
+        combine_components(parts, limit.unwrap_or(usize::MAX))
     }
 }
 

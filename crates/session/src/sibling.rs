@@ -31,7 +31,8 @@
 //! [`whyq_matcher::Budget`] tripped mid-run produced a *partial* count or
 //! row prefix, and caching it would replay a truncated answer as if it
 //! were exact. Callers enforce this by checking the budget's termination
-//! after computing each unit (see `PreparedQuery::count_governed`).
+//! after computing each component (the execution loop behind every
+//! `PreparedQuery` count and find does this, serial or sharded).
 //! Replays themselves consume no budget — a governed run that reuses
 //! cached units can therefore legitimately return *more* than an
 //! identically-budgeted cold run; the governed contract (the value is a

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use whyq_graph::{PropertyGraph, Value};
-use whyq_matcher::fault::{arm, FaultPlan};
+use whyq_matcher::fault::{arm, FaultGuard, FaultPlan};
 use whyq_matcher::{MatchOptions, ResultGraph};
 use whyq_query::{PatternQuery, Predicate, QueryBuilder};
 use whyq_session::{Budget, CancelToken, Database, Executor, ParallelOpts, Termination, WhyqError};
@@ -49,6 +49,13 @@ fn path_query(len: usize) -> PatternQuery {
     b.build()
 }
 
+/// Hold the fault test lock with nothing armed: the fault-free checks
+/// that follow an injected fault must not observe a plan that a
+/// concurrently running test arms in the meantime.
+fn disarmed() -> FaultGuard {
+    arm(FaultPlan::default())
+}
+
 fn multiset(results: &[ResultGraph]) -> BTreeMap<String, usize> {
     let mut m = BTreeMap::new();
     for r in results {
@@ -74,11 +81,15 @@ fn assert_answers_like_fresh(survivor: &Database, queries: &[PatternQuery]) {
         );
         let sp = s.prepare(q).unwrap();
         let fp = f.prepare(q).unwrap();
+        // parallel calls read the sibling cache: drop what the serial
+        // calls memoized so the survivor's shards execute
+        survivor.clear_sibling_cache();
         assert_eq!(
             sp.count_par_opts(MatchOptions::default(), &par).unwrap(),
             fp.count().unwrap(),
             "parallel count diverged"
         );
+        survivor.clear_sibling_cache();
         assert_eq!(
             multiset(&sp.find_par_opts(MatchOptions::default(), &par).unwrap()),
             multiset(&fp.find().unwrap()),
@@ -117,6 +128,7 @@ fn injected_worker_panic_surfaces_and_database_survives() {
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
     }
+    let _disarmed = disarmed();
 
     // The same database — same plan cache, same prepared query — now
     // answers exactly like a fresh instance, serial and parallel.
@@ -145,6 +157,7 @@ fn injected_panic_in_count_par_is_isolated_too() {
             .expect_err("panicked count must error");
         assert!(matches!(err, WhyqError::WorkerPanicked { .. }));
     }
+    let _disarmed = disarmed();
     assert_eq!(
         db.session()
             .prepare(&q)
@@ -175,6 +188,7 @@ fn executor_stays_usable_after_injected_panic() {
             assert!(matches!(err, WhyqError::WorkerPanicked { .. }));
         }
         // disarmed: the very same executor finishes the batch correctly
+        let _disarmed = disarmed();
         let out = exec.map_batch(&items, |&i| i + 1).unwrap();
         assert_eq!(out, (1..=16).collect::<Vec<_>>());
     }
@@ -201,6 +215,7 @@ fn count_batch_fails_all_slots_on_executor_level_panic() {
             assert!(matches!(slot, Err(WhyqError::WorkerPanicked { .. })));
         }
     }
+    let _disarmed = disarmed();
     let slots = exec.count_batch(&db, &queries, MatchOptions::default());
     assert_eq!(
         slots.into_iter().map(Result::unwrap).collect::<Vec<_>>(),
@@ -237,6 +252,7 @@ proptest! {
                 Err(WhyqError::WorkerPanicked { .. })
             ));
         }
+        let _disarmed = disarmed();
         assert_answers_like_fresh(&db, &[q, path_query(2)]);
     }
 }
@@ -307,6 +323,7 @@ fn forced_exhaustion_degrades_gracefully_and_clears_on_disarm() {
         );
     }
     // a fresh budget after disarm runs to completion
+    let _disarmed = disarmed();
     let governed = session
         .count_governed(&q, MatchOptions::governed(Budget::steps(u64::MAX / 2)))
         .unwrap();

@@ -118,12 +118,16 @@ proptest! {
         for threads in [1usize, 2, 8] {
             for min_split in [0usize, 1, 3, 1_000_000] {
                 let par = ParallelOpts::with_threads(threads).min_seeds_per_split(min_split);
+                // parallel calls read the sibling cache: drop what the
+                // serial calls memoized so the shards execute
+                db.clear_sibling_cache();
                 let found = prepared.find_par_opts(opts.clone(), &par).expect("find_par");
                 prop_assert_eq!(
                     multiset(&found),
                     multiset(&serial),
                     "find_par multiset (threads={}, min_split={})", threads, min_split
                 );
+                db.clear_sibling_cache();
                 let counted = prepared.count_par_opts(opts.clone(), &par).expect("count_par");
                 prop_assert_eq!(
                     counted, serial_count,
@@ -161,10 +165,14 @@ proptest! {
 
         for threads in [2usize, 8] {
             let par = ParallelOpts::with_threads(threads).min_seeds_per_split(1);
+            // parallel calls read the sibling cache: drop what the
+            // serial calls memoized so the shards execute
+            db.clear_sibling_cache();
             prop_assert_eq!(
                 prepared.count_par_opts(opts.clone(), &par).expect("count_par"),
                 serial_count
             );
+            db.clear_sibling_cache();
             let found = prepared.find_par_opts(opts.clone(), &par).expect("find_par");
             prop_assert_eq!(found.len(), all.len().min(limit));
             for (key, count) in multiset(&found) {

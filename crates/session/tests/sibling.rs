@@ -11,19 +11,26 @@
 //! unlimited enumerations must agree as canonical multisets (a derived
 //! plan may enumerate in a different order than a fresh compile), and a
 //! *replayed* execution must be bit-identical to the recomputed one it
-//! replays. The same equivalences are checked through the 4-thread
+//! replays. Both databases run the same execution loop, so the naive
+//! reference matcher (`whyq_matcher::reference`) is checked as a third
+//! side. The same equivalences are checked through the 4-thread
 //! `Executor` batch entry points (the `WHYQ_THREADS=4` configuration,
-//! pinned explicitly via [`ParallelOpts::with_threads`]) and under
-//! mid-run Budget trips: a tripped partial is a lower bound and is never
-//! cached, so a complete re-run after a trip still matches the oracle.
+//! pinned explicitly via [`ParallelOpts::with_threads`]), through the
+//! sharded `count_par_opts`/`find_par_opts` interleaved with serial calls
+//! (parallel and serial runs share cache entries in both directions), and
+//! under mid-run Budget trips: a tripped partial is a lower bound and is
+//! never cached, serial or parallel, so a complete re-run after a trip
+//! still matches the oracle.
 
 use proptest::prelude::*;
 use whyq_graph::{PropertyGraph, Value};
-use whyq_matcher::{Budget, MatchOptions, ResultGraph, Termination};
+use whyq_matcher::{
+    count_matches_naive, find_matches_naive, Budget, MatchOptions, ResultGraph, Termination,
+};
 use whyq_query::{
     DirectionSet, GraphMod, Interval, PatternQuery, Predicate, QVid, QueryEdge, QueryVertex, Target,
 };
-use whyq_session::{Database, DatabaseConfig, Executor, ParallelOpts};
+use whyq_session::{Database, DatabaseConfig, Executor, ParallelOpts, WhyqError};
 
 fn build_graph(n: usize, types: &[u8], pairs: &[(u8, u8, bool)]) -> PropertyGraph {
     let names = ["red", "green", "blue"];
@@ -159,6 +166,72 @@ fn open_pair(g: &PropertyGraph) -> (Database, Database) {
     (inc, full)
 }
 
+/// Sharded single-query execution, interleaved with serial calls on both
+/// databases: every `count_par_opts`/`find_par_opts` answer (threads ∈
+/// {2, 4}, split floor ∈ {1, 3}) equals the serial one. On the cached
+/// database a parallel call first fills the cold cache for the serial
+/// call after it, and a parallel call after a serial call replays
+/// (raising `hits`). Returns whether any query was satisfiable with the
+/// cache on, i.e. whether the hit checks had anything to observe.
+fn assert_parallel_agrees_and_shares_the_cache(
+    inc: &Database,
+    full: &Database,
+    family: &[PatternQuery],
+) -> bool {
+    let (inc_session, full_session) = (inc.session(), full.session());
+    let opts = MatchOptions::default;
+    let mut observed = false;
+    for q in family {
+        let serial_count = full_session.count(q).unwrap();
+        let serial_rows = canonical(&full_session.find(q).unwrap());
+        let inc_prepared = inc_session.prepare(q).unwrap();
+        let full_prepared = full_session.prepare(q).unwrap();
+        let replays = inc.sibling_cache_enabled() && !inc_prepared.is_unsatisfiable();
+        observed |= replays;
+        for threads in [2usize, 4] {
+            for split in [1usize, 3] {
+                let par = ParallelOpts::with_threads(threads).min_seeds_per_split(split);
+                inc.clear_sibling_cache();
+                assert_eq!(
+                    inc_prepared.count_par_opts(opts(), &par).unwrap(),
+                    serial_count
+                );
+                assert_eq!(inc_prepared.count_opts(opts()).unwrap(), serial_count);
+                let hits = inc.sibling_stats().hits;
+                assert_eq!(
+                    inc_prepared.count_par_opts(opts(), &par).unwrap(),
+                    serial_count
+                );
+                assert!(!replays || inc.sibling_stats().hits > hits, "{q:?}");
+
+                let rows = |r: Vec<ResultGraph>| canonical(&r);
+                assert_eq!(
+                    rows(inc_prepared.find_par_opts(opts(), &par).unwrap()),
+                    serial_rows
+                );
+                assert_eq!(rows(inc_prepared.find_opts(opts()).unwrap()), serial_rows);
+                let hits = inc.sibling_stats().hits;
+                assert_eq!(
+                    rows(inc_prepared.find_par_opts(opts(), &par).unwrap()),
+                    serial_rows
+                );
+                assert!(!replays || inc.sibling_stats().hits > hits, "{q:?}");
+
+                // the cache-off database executes every parallel call
+                assert_eq!(
+                    full_prepared.count_par_opts(opts(), &par).unwrap(),
+                    serial_count
+                );
+                assert_eq!(
+                    rows(full_prepared.find_par_opts(opts(), &par).unwrap()),
+                    serial_rows
+                );
+            }
+        }
+    }
+    observed
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -190,6 +263,13 @@ proptest! {
             let oracle_count = full_session.count_governed(q, MatchOptions::default()).unwrap();
             let oracle_rows = full_session.find_governed(q, MatchOptions::default()).unwrap();
             prop_assert_eq!(oracle_count.termination, Termination::Complete);
+            // the cache-off database runs the same loop as the cached one:
+            // pin both to the naive reference matcher
+            prop_assert_eq!(oracle_count.value, count_matches_naive(&g, q, MatchOptions::default()));
+            prop_assert_eq!(
+                canonical(&oracle_rows.value),
+                canonical(&find_matches_naive(&g, q, MatchOptions::default()))
+            );
 
             // first incremental run (misses fill the cache) …
             let first = inc_session.find_governed(q, MatchOptions::default()).unwrap();
@@ -209,8 +289,9 @@ proptest! {
             if let Some(l) = limit {
                 let opts = MatchOptions::limited(l);
                 let a = inc_session.count_governed(q, opts.clone()).unwrap();
-                let b = full_session.count_governed(q, opts).unwrap();
+                let b = full_session.count_governed(q, opts.clone()).unwrap();
                 prop_assert_eq!(a.value, b.value);
+                prop_assert_eq!(b.value, count_matches_naive(&g, q, opts));
                 // limited rows: replays must be bit-identical within the
                 // incremental database (same plan, same prefix)
                 let opts = MatchOptions::limited(l);
@@ -277,6 +358,8 @@ proptest! {
             let oracle = full_session.find_governed(q, MatchOptions::default()).unwrap();
             prop_assert_eq!(canonical(&governed.value), canonical(&oracle.value));
         }
+
+        assert_parallel_agrees_and_shares_the_cache(&inc, &full, &family);
     }
 
     /// Mid-run Budget trips: a tripped governed count is a lower bound of
@@ -318,6 +401,26 @@ proptest! {
             } else {
                 prop_assert_eq!(tripped.value, oracle.value);
                 let _ = before;
+            }
+
+            // a parallel run that trips is an error and memoizes nothing
+            // (on a cold cache, so the run really executes; a connected
+            // query is one component, so no earlier component completed)
+            inc.clear_sibling_cache();
+            let before = inc.sibling_stats().insertions;
+            let par = ParallelOpts::with_threads(2).min_seeds_per_split(1);
+            let starved = MatchOptions::default().with_budget(Budget::steps(steps));
+            let prepared = inc_session.prepare(q).unwrap();
+            match prepared.count_par_opts(starved, &par) {
+                Ok(count) => prop_assert_eq!(count, oracle.value),
+                Err(e) => {
+                    prop_assert!(matches!(e, WhyqError::Interrupted { .. }));
+                    if q.is_connected() {
+                        prop_assert_eq!(inc.sibling_stats().insertions, before);
+                    }
+                    let after = prepared.count_par_opts(MatchOptions::default(), &par).unwrap();
+                    prop_assert_eq!(after, oracle.value);
+                }
             }
 
             // the row twin under the same starvation
@@ -381,4 +484,21 @@ fn generation_bump_invalidates_replays() {
         "stale-generation entries must be dropped and counted: {:?}",
         db.sibling_stats()
     );
+}
+
+/// The parallel/serial interleaving on a graph large enough that every
+/// type bucket shards at both split floors (8 seeds per type), so the
+/// parallel calls really run on workers rather than falling back to one
+/// unit — and, with the cache on, replay what the serial calls memoized.
+#[test]
+fn sharded_parallel_calls_share_the_cache_with_serial_calls() {
+    let pairs: Vec<(u8, u8, bool)> = (0u8..24)
+        .flat_map(|i| [(i, (i * 7 + 3) % 24, true), (i, (i * 5 + 1) % 24, false)])
+        .collect();
+    let g = build_graph(24, &[0, 1, 2], &pairs);
+    let base = build_query(3, &[0, 1, 2], &[true, false], false);
+    let family = sibling_family(&base, &[(0, 1), (2, 0), (3, 0), (1, 2), (4, 1)]);
+    let (inc, full) = open_pair(&g);
+    let observed = assert_parallel_agrees_and_shares_the_cache(&inc, &full, &family);
+    assert!(!inc.sibling_cache_enabled() || observed);
 }

@@ -42,6 +42,9 @@ fn env_thread_count_preserves_results() {
     // the env-configured pool (memoized from WHYQ_THREADS=1) must agree
     // with the serial engine as a multiset / exact count
     let par = ParallelOpts::from_env().min_seeds_per_split(1);
+    // parallel calls read the sibling cache: drop what the serial calls
+    // memoized so the shards execute
+    db.clear_sibling_cache();
     let mut found = prepared
         .find_par_opts(Default::default(), &par)
         .expect("find_par");
@@ -50,6 +53,7 @@ fn env_thread_count_preserves_results() {
     found.sort_by_key(key);
     expect.sort_by_key(key);
     assert_eq!(found, expect);
+    db.clear_sibling_cache();
     assert_eq!(
         prepared
             .count_par_opts(Default::default(), &par)

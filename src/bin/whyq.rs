@@ -14,6 +14,7 @@
 //! subcommand speaks the `whyqd` wire protocol (`docs/wire-protocol.md`)
 //! and exits nonzero on any protocol or transport error.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use whyquery::core::engine::WhyEngine;
 use whyquery::core::problem::CardinalityGoal;
@@ -25,9 +26,18 @@ use whyquery::session::Database;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
+    match run(&args, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // the reader went away (`whyq stats g.txt | head -1`): nothing is
+        // left to print to, which is not a failure of the command
+        Err(CliError::Io(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(CliError::Io(e)) => {
+            eprintln!("whyq: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Usage(msg)) => {
             eprintln!("whyq: {msg}");
             eprintln!();
             eprintln!("usage:");
@@ -43,14 +53,42 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Why a command stopped: a usage or input problem, reported with the
+/// usage text, or a failed write to stdout.
+enum CliError {
+    Usage(String),
+    Io(std::io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Usage(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Usage(msg.to_string())
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Io(e)
+    }
+}
+
+/// Every subcommand writes its output to `out` (the one locked stdout).
+type Out<'a> = &'a mut dyn Write;
+
+fn run(args: &[String], out: Out<'_>) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
-        Some("generate") => generate(&args[1..]),
-        Some("stats") => stats(&args[1..]),
-        Some("match") => do_match(&args[1..]),
-        Some("why") => why(&args[1..]),
-        Some("client") => client(&args[1..]),
-        Some(other) => Err(format!("unknown command {other:?}")),
+        Some("generate") => generate(&args[1..], out),
+        Some("stats") => stats(&args[1..], out),
+        Some("match") => do_match(&args[1..], out),
+        Some("why") => why(&args[1..], out),
+        Some("client") => client(&args[1..], out),
+        Some(other) => Err(format!("unknown command {other:?}").into()),
         None => Err("missing command".into()),
     }
 }
@@ -66,7 +104,7 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid {what}: {s:?}"))
 }
 
-fn generate(args: &[String]) -> Result<(), String> {
+fn generate(args: &[String], out: Out<'_>) -> Result<(), CliError> {
     let kind = args.first().ok_or("generate needs <ldbc|dbpedia>")?;
     let seed: u64 = match flag_value(args, "--seed") {
         Some(s) => parse_num(s, "seed")?,
@@ -87,7 +125,7 @@ fn generate(args: &[String]) -> Result<(), String> {
             };
             dbpedia_graph(DbpediaConfig { entities, seed })
         }
-        other => return Err(format!("unknown generator {other:?}")),
+        other => return Err(format!("unknown generator {other:?}").into()),
     };
     let text = io::write_graph(&g);
     match flag_value(args, "--out") {
@@ -99,7 +137,7 @@ fn generate(args: &[String]) -> Result<(), String> {
                 g.num_edges()
             );
         }
-        None => print!("{text}"),
+        None => write!(out, "{text}")?,
     }
     Ok(())
 }
@@ -113,28 +151,29 @@ fn load_pattern(text: &str) -> Result<PatternQuery, String> {
     parse_query(text).map_err(|e| format!("pattern: {e}"))
 }
 
-fn stats(args: &[String]) -> Result<(), String> {
+fn stats(args: &[String], out: Out<'_>) -> Result<(), CliError> {
     let path = args.first().ok_or("stats needs <GRAPH>")?;
     let g = load_graph(path)?;
-    println!("vertices: {}", g.num_vertices());
-    println!("edges:    {}", g.num_edges());
+    writeln!(out, "vertices: {}", g.num_vertices())?;
+    writeln!(out, "edges:    {}", g.num_edges())?;
     let d = whyquery::graph::stats::degree_summary(&g);
-    println!(
+    writeln!(
+        out,
         "degree:   min {} / mean {:.1} / max {}",
         d.min, d.mean, d.max
-    );
-    println!("\nvertex types:");
+    )?;
+    writeln!(out, "\nvertex types:")?;
     for (ty, c) in whyquery::graph::stats::vertex_attr_histogram(&g, "type") {
-        println!("  {ty:<24} {c}");
+        writeln!(out, "  {ty:<24} {c}")?;
     }
-    println!("\nedge types:");
+    writeln!(out, "\nedge types:")?;
     for (ty, c) in whyquery::graph::stats::edge_type_histogram(&g) {
-        println!("  {ty:<24} {c}");
+        writeln!(out, "  {ty:<24} {c}")?;
     }
     Ok(())
 }
 
-fn do_match(args: &[String]) -> Result<(), String> {
+fn do_match(args: &[String], out: Out<'_>) -> Result<(), CliError> {
     let path = args.first().ok_or("match needs <GRAPH>")?;
     let pattern = args.get(1).ok_or("match needs <PATTERN>")?;
     let limit: usize = match flag_value(args, "--limit") {
@@ -147,19 +186,19 @@ fn do_match(args: &[String]) -> Result<(), String> {
     let prepared = session.prepare(&q).map_err(|e| e.to_string())?;
     // stream lazily: a small --limit never enumerates the full result set
     let results: Vec<_> = prepared.stream_opts(MatchOptions::limited(limit)).collect();
-    println!("{} match(es) (showing up to {limit}):", results.len());
+    writeln!(out, "{} match(es) (showing up to {limit}):", results.len())?;
     for (i, r) in results.iter().enumerate() {
         let parts: Vec<String> = r
             .vertex_bindings()
             .iter()
             .map(|(qv, dv)| format!("{qv}={dv}"))
             .collect();
-        println!("  #{:<3} {}", i + 1, parts.join("  "));
+        writeln!(out, "  #{:<3} {}", i + 1, parts.join("  "))?;
     }
     Ok(())
 }
 
-fn client(args: &[String]) -> Result<(), String> {
+fn client(args: &[String], out: Out<'_>) -> Result<(), CliError> {
     use whyquery::server::client::Client;
     let addr = args.first().ok_or("client needs <ADDR>")?;
     let mut client =
@@ -167,13 +206,13 @@ fn client(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--stats") {
         let stats = client.stats().map_err(|e| e.to_string())?;
         for (key, value) in stats.fields() {
-            println!("{key}={value}");
+            writeln!(out, "{key}={value}")?;
         }
         return Ok(());
     }
     if args.iter().any(|a| a == "--shutdown") {
         let detail = client.shutdown_server().map_err(|e| e.to_string())?;
-        println!("server {detail}");
+        writeln!(out, "server {detail}")?;
         return Ok(());
     }
     let pattern = args
@@ -184,18 +223,19 @@ fn client(args: &[String]) -> Result<(), String> {
         .query(pattern, flag_value(args, "--slo"))
         .map_err(|e| e.to_string())?;
     let capped = if reply.capped { " (capped)" } else { "" };
-    println!(
+    writeln!(
+        out,
         "{} row(s), termination {}{capped}:",
         reply.rows.len(),
         reply.termination
-    );
+    )?;
     for (i, row) in reply.rows.iter().enumerate() {
-        println!("  #{:<3} {row}", i + 1);
+        writeln!(out, "  #{:<3} {row}", i + 1)?;
     }
     Ok(())
 }
 
-fn why(args: &[String]) -> Result<(), String> {
+fn why(args: &[String], out: Out<'_>) -> Result<(), CliError> {
     let path = args.first().ok_or("why needs <GRAPH>")?;
     let pattern = args.get(1).ok_or("why needs <PATTERN>")?;
     let goal = if let Some(s) = flag_value(args, "--at-least") {
@@ -214,30 +254,32 @@ fn why(args: &[String]) -> Result<(), String> {
     let q = load_pattern(pattern)?;
     let engine = WhyEngine::new(&db);
     let d = engine.diagnose(&q, goal).map_err(|e| e.to_string())?;
-    println!("cardinality: {}", d.cardinality);
-    println!("problem:     {}", d.problem);
+    writeln!(out, "cardinality: {}", d.cardinality)?;
+    writeln!(out, "problem:     {}", d.problem)?;
     if let Some(sub) = &d.subgraph {
-        println!("\nsubgraph-based explanation:");
-        println!(
+        writeln!(out, "\nsubgraph-based explanation:")?;
+        writeln!(
+            out,
             "  largest conforming subquery: {} vertices, {} edges ({} results)",
             sub.mcs.num_vertices(),
             sub.mcs.num_edges(),
             sub.mcs_cardinality
-        );
-        println!("  {}", sub.differential);
+        )?;
+        writeln!(out, "  {}", sub.differential)?;
         if let Some(e) = sub.crossing_edge {
-            println!("  bound crossed at query edge {e}");
+            writeln!(out, "  bound crossed at query edge {e}")?;
         }
     }
     if let Some(rw) = &d.rewrite {
-        println!("\nmodification-based explanation:");
+        writeln!(out, "\nmodification-based explanation:")?;
         for m in &rw.mods {
-            println!("  * {m}");
+            writeln!(out, "  * {m}")?;
         }
-        println!(
+        writeln!(
+            out,
             "  rewritten query delivers {} result(s), syntactic distance {:.3}",
             rw.cardinality, rw.syntactic_distance
-        );
+        )?;
     }
     Ok(())
 }

@@ -67,13 +67,9 @@ pub use whyq_session as session;
 
 /// Convenience imports covering the common API surface.
 ///
-/// The deprecated `find_matches`/`count_matches` shims are no longer
-/// re-exported here: the facade (`Database::open` → `session.prepare(&q)`)
-/// is the supported path, and the parallel entry points
-/// (`prepared.find_par()`/`count_par()`, [`whyq_session::Executor`]) only
-/// exist on it. Downstream code still on the shims can import them from
-/// `whyquery::matcher` explicitly (with deprecation warnings) until they
-/// are removed.
+/// The facade (`Database::open` → `session.prepare(&q)`) is the supported
+/// path; the parallel entry points (`prepared.find_par()`/`count_par()`,
+/// [`whyq_session::Executor`]) only exist on it.
 pub mod prelude {
     pub use whyq_core::engine::WhyEngine;
     pub use whyq_core::problem::{CardinalityGoal, WhyProblem};
